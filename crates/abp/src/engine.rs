@@ -240,9 +240,10 @@ const GROUP_LIT: u8 = 4;
 const LIT_LANES: u32 = 128;
 
 /// Process-wide count of [`Compiled::build`] runs: how many times any
-/// engine actually compiled its automatons. The multi-tenant benches
-/// and the survey repro assert on this — one compiled core serving N
-/// tenant masks must bump it exactly once.
+/// engine actually compiled its automatons. The single-threaded
+/// `engine_bench` and `repro` binaries diff it around a code path;
+/// tests, which run in parallel and compile engines concurrently, use
+/// the per-instance [`Engine::compiles`] instead.
 static COMPILE_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// Total engine compilations in this process so far (see
@@ -681,6 +682,8 @@ pub struct Engine {
     /// added (adding requires `&mut self`, so no query can be holding
     /// a reference into the old snapshot).
     compiled: OnceLock<Compiled>,
+    /// Snapshots this instance compiled (see [`Engine::compiles`]).
+    compiles: AtomicU64,
 }
 
 impl Clone for Engine {
@@ -703,6 +706,8 @@ impl Clone for Engine {
                 }
                 None => OnceLock::new(),
             },
+            // The clone compiled nothing itself.
+            compiles: AtomicU64::new(0),
         }
     }
 }
@@ -775,7 +780,18 @@ impl Engine {
     }
 
     fn compiled(&self) -> &Compiled {
-        self.compiled.get_or_init(|| Compiled::build(self))
+        self.compiled.get_or_init(|| {
+            self.compiles.fetch_add(1, Ordering::Relaxed);
+            Compiled::build(self)
+        })
+    }
+
+    /// How many times this instance compiled its matching snapshot:
+    /// once per build, again only after filters are added. Masked
+    /// queries and hiding lookups never recompile. A clone starts at 0
+    /// and stays there while it carries its source's snapshot.
+    pub fn compiles(&self) -> u64 {
+        self.compiles.load(Ordering::Relaxed)
     }
 
     fn add_filter_body(&mut self, body: &FilterBody, raw: &str, source: ListSource, mask: u64) {
@@ -2141,7 +2157,7 @@ reddit.com#@##siteTable_organic
     #[test]
     fn compile_count_bumps_once_per_build() {
         let e = engine();
-        let before = engine_compile_count();
+        assert_eq!(e.compiles(), 1, "from_lists compiles eagerly, once");
         // Many masked queries against one engine never recompile.
         for tenant in [u64::MAX, 0b01, 0b10, 0] {
             let _ = e.match_request_masked(
@@ -2154,12 +2170,26 @@ reddit.com#@##siteTable_organic
             );
             let _ = e.hiding_for_domain_masked("www.reddit.com", tenant);
         }
-        assert_eq!(engine_compile_count(), before);
-        let _ = Engine::from_lists([&easylist()]).match_request(&req(
+        assert_eq!(e.compiles(), 1);
+        // A clone carries the snapshot instead of compiling its own.
+        let copy = e.clone();
+        let _ = copy.match_request(&req(
             "http://ad.doubleclick.net/x.js",
             "example.com",
             ResourceType::Script,
         ));
-        assert_eq!(engine_compile_count(), before + 1);
+        assert_eq!(copy.compiles(), 0);
+        let other = Engine::from_lists([&easylist()]);
+        let _ = other.match_request(&req(
+            "http://ad.doubleclick.net/x.js",
+            "example.com",
+            ResourceType::Script,
+        ));
+        assert_eq!(other.compiles(), 1);
+        assert_eq!(
+            e.compiles(),
+            1,
+            "another engine's build is not counted here"
+        );
     }
 }

@@ -1,28 +1,26 @@
 //! The abpd server binary.
 //!
 //! ```text
-//! abpd [--addr HOST:PORT] [--shards N] [--queue-depth N]
-//!      [--cache-capacity N] [--max-line-bytes N] [--seed N]
-//!      [--deadline-ms N] [--shed-watermark F]
-//!      [--server-mode blocking|event] [--io-threads N]
-//!      [--inline-batch-max N] [--no-reuseport]
+//! abpd [--addr HOST:PORT] [--shards N] [--cache-capacity N]
+//!      [--max-line-bytes N] [--seed N] [--deadline-ms N]
+//!      [--server-mode blocking|event] [--io-threads N] [--no-reuseport]
 //!      [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]
 //! ```
 //!
 //! Serves ad-blocking decisions for the generated corpus (EasyList +
 //! Acceptable Ads whitelist) until a client sends the `Shutdown` verb.
 //!
-//! `--server-mode event` swaps the thread-per-connection wire path for
-//! thread-per-core epoll reactors (`--io-threads`, default one per
-//! core) with `SO_REUSEPORT` listeners, shard-local decision caches,
-//! and inline evaluation of batches up to `--inline-batch-max`
-//! (larger ones escalate to the worker pool). Linux-only; elsewhere it
-//! falls back to blocking mode.
+//! Every batch is decided on the thread that read it: a connection
+//! thread in the default blocking mode, or with `--server-mode event`
+//! one of the thread-per-core epoll reactors (`--io-threads`, default
+//! one per core) behind `SO_REUSEPORT` listeners. Event mode is
+//! Linux-only; elsewhere it falls back to blocking mode. Both modes
+//! share one decision cache of `--cache-capacity` entries split over
+//! `--shards` locks.
 //!
-//! `--deadline-ms` bounds per-request evaluation time (late requests
-//! fail with a `DeadlineExceeded` error instead of queuing forever);
-//! `--shed-watermark` sets the queue-depth fraction past which new
-//! batches are answered `Overloaded` immediately. `--watch FILE` polls
+//! `--deadline-ms` bounds how long a batch keeps evaluating cache
+//! misses: once it has passed, the batch fails with a
+//! `DeadlineExceeded` error. `--watch FILE` polls
 //! a whitelist file and pushes changed content through the
 //! `ReloadDelta` verb — a copy/insert patch against the last body the
 //! server acknowledged, orders of magnitude smaller on the wire than
@@ -171,12 +169,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: abpd [--addr HOST:PORT] [--shards N] [--queue-depth N] \
-             [--cache-capacity N] [--max-line-bytes N] [--seed N] \
-             [--deadline-ms N] [--shed-watermark F] \
-             [--server-mode blocking|event] [--io-threads N] \
-             [--inline-batch-max N] [--no-reuseport] \
-             [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]"
+            "usage: abpd [--addr HOST:PORT] [--shards N] [--cache-capacity N] \
+             [--max-line-bytes N] [--seed N] [--deadline-ms N] \
+             [--server-mode blocking|event] [--io-threads N] [--no-reuseport] \
+             [--watch FILE] [--watch-interval-ms N] [--state-dir DIR]\n\n\
+             Every batch is decided inline on the thread that read it \
+             (a connection thread, or an event-mode reactor)."
         );
         return;
     }
@@ -185,9 +183,6 @@ fn main() {
     config.addr = parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4815".to_string());
     if let Some(n) = parse_flag(&args, "--shards") {
         config.service.shards = n;
-    }
-    if let Some(n) = parse_flag(&args, "--queue-depth") {
-        config.service.queue_depth = n;
     }
     if let Some(n) = parse_flag(&args, "--cache-capacity") {
         config.service.cache_capacity = n;
@@ -201,21 +196,11 @@ fn main() {
     if let Some(n) = parse_flag(&args, "--io-threads") {
         config.io_threads = n;
     }
-    if let Some(n) = parse_flag::<usize>(&args, "--inline-batch-max") {
-        config.inline_batch_max = n.max(1);
-    }
     if args.iter().any(|a| a == "--no-reuseport") {
         config.reuseport = false;
     }
     if let Some(ms) = parse_flag::<u64>(&args, "--deadline-ms") {
         config.service.deadline = Some(Duration::from_millis(ms.max(1)));
-    }
-    if let Some(w) = parse_flag::<f64>(&args, "--shed-watermark") {
-        if !(0.0..=1.0).contains(&w) {
-            eprintln!("--shed-watermark must be in [0, 1], got {w}");
-            std::process::exit(2);
-        }
-        config.service.shed_watermark = w;
     }
     if let Some(faults) = FaultConfig::from_env() {
         eprintln!("abpd: FAULT INJECTION ARMED: {faults:?}");

@@ -7,9 +7,8 @@
 //! different decisions for byte-identical requests, so a cached
 //! decision must never cross a tenant boundary. The cache is split
 //! into shards, each behind its own mutex; a key's shard is derived
-//! from its hash, and the service routes the *same* key to the same
-//! worker shard, so a shard's mutex is only contended between
-//! connection handlers looking up and that shard's worker inserting.
+//! from its hash, so threads evaluating different keys rarely contend
+//! on the same lock.
 //!
 //! Lookups are allocation-free: a request is reduced to a 64-bit
 //! per-process-seeded FNV-1a digest of its borrowed fields
@@ -285,8 +284,7 @@ struct Entry {
 
 /// Padded so one shard's lock word never shares a cache line with its
 /// neighbour's: shard mutexes are the hottest shared words in the
-/// blocking server, and unpadded they sit adjacent in one `Vec`
-/// allocation.
+/// service, and unpadded they sit adjacent in one `Vec` allocation.
 type Shard = CacheAligned<Mutex<LruCache<u64, Entry, FnvBuildHasher>>>;
 
 /// The service's decision cache: N independent LRU shards indexed by
@@ -317,7 +315,7 @@ impl DecisionCache {
         }
     }
 
-    /// Number of shards (always the service's worker count).
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -395,90 +393,6 @@ impl DecisionCache {
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A single-threaded decision cache for one reactor: the same
-/// digest-indexed, generation-stamped, collision-verified LRU as
-/// [`DecisionCache`], minus the mutexes — the owning reactor thread is
-/// the only one that ever touches it, so a lookup is a plain method
-/// call on owned state and the steady-state wire path never takes a
-/// lock. Generation fencing is identical: an entry stamped by another
-/// engine generation reads as a miss, and the owner clears the cache
-/// wholesale when it observes a new generation.
-pub struct LocalDecisionCache {
-    lru: LruCache<u64, Entry, FnvBuildHasher>,
-    cap: usize,
-}
-
-impl LocalDecisionCache {
-    /// A cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> LocalDecisionCache {
-        let cap = capacity.max(1);
-        LocalDecisionCache {
-            lru: LruCache::new(cap),
-            cap,
-        }
-    }
-
-    /// Look up a decision by digest, promoting it on a hit; the full
-    /// fields and the generation are verified exactly like
-    /// [`DecisionCache::get`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn get(
-        &mut self,
-        key_hash: u64,
-        generation: u64,
-        url: &str,
-        document: &str,
-        resource_type: ResourceType,
-        sitekey: Option<&str>,
-        tenant: u64,
-    ) -> Option<RequestOutcome> {
-        let entry = self.lru.get(&key_hash)?;
-        if entry.generation == generation
-            && entry
-                .key
-                .matches(url, document, resource_type, sitekey, tenant)
-        {
-            Some(entry.outcome.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Memoize a decision under its digest.
-    pub fn insert(
-        &mut self,
-        key_hash: u64,
-        key: StoredKey,
-        generation: u64,
-        outcome: RequestOutcome,
-    ) {
-        self.lru.insert(
-            key_hash,
-            Entry {
-                key,
-                generation,
-                outcome,
-            },
-        );
-    }
-
-    /// Drop every entry (on generation change, so superseded decisions
-    /// don't squat on LRU capacity).
-    pub fn clear(&mut self) {
-        self.lru = LruCache::new(self.cap);
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
     }
 }
 
@@ -627,8 +541,7 @@ mod tests {
         // with the *same 64-bit digest* (simulated by reusing A's
         // digest verbatim — a genuine collision is just this, minus
         // the astronomically unlikely hash step). B must miss on the
-        // full-key verify; a cached decision can never cross configs,
-        // on either the shared or the reactor-local cache.
+        // full-key verify; a cached decision can never cross configs.
         let tenant_a = 0b01u64; // EasyList only
         let tenant_b = 0b11u64; // EasyList + Acceptable Ads
         let outcome_a = RequestOutcome {
@@ -653,22 +566,6 @@ mod tests {
         );
         assert_eq!(
             cache.get(0, h, 0, "u", "d", ResourceType::Script, None, tenant_a),
-            Some(outcome_a.clone())
-        );
-
-        let mut local = LocalDecisionCache::new(8);
-        local.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, tenant_a),
-            0,
-            outcome_a.clone(),
-        );
-        assert_eq!(
-            local.get(h, 0, "u", "d", ResourceType::Script, None, tenant_b),
-            None
-        );
-        assert_eq!(
-            local.get(h, 0, "u", "d", ResourceType::Script, None, tenant_a),
             Some(outcome_a)
         );
     }
@@ -705,40 +602,6 @@ mod tests {
             cache.get(shard, h, 1, "u", "d", ResourceType::Script, None, ALL),
             None
         );
-    }
-
-    #[test]
-    fn local_cache_mirrors_shared_semantics() {
-        let mut cache = LocalDecisionCache::new(8);
-        let outcome = RequestOutcome {
-            decision: abp::Decision::Block,
-            activations: vec![],
-        };
-        let h = request_key_hash("u", "d", ResourceType::Script, None, ALL);
-        cache.insert(
-            h,
-            StoredKey::new("u", "d", ResourceType::Script, None, ALL),
-            3,
-            outcome.clone(),
-        );
-        // Collision (same digest, other fields) and stale generation
-        // both read as misses; the exact key at the exact generation
-        // hits.
-        assert_eq!(
-            cache.get(h, 3, "other", "d", ResourceType::Script, None, ALL),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 4, "u", "d", ResourceType::Script, None, ALL),
-            None
-        );
-        assert_eq!(
-            cache.get(h, 3, "u", "d", ResourceType::Script, None, ALL),
-            Some(outcome)
-        );
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! turns the same [`abp::Engine`] into a standalone network service so
 //! decision throughput can be measured (and scaled) independently of
 //! the crawler. Clients speak newline-delimited JSON over TCP (see
-//! [`protocol`]); the server routes each decision to one of N shard
-//! workers over bounded queues and memoizes outcomes in a sharded LRU
-//! cache ([`cache`]). A decision for a fixed engine is a pure function
-//! of `(url, document, resource type, sitekey)`, so cached responses
-//! are byte-identical to fresh engine evaluations — property-tested in
-//! this crate's test suite.
+//! [`protocol`]). Every batch is decided on the thread that read it —
+//! a connection thread in blocking mode, a reactor in event mode —
+//! through one inline evaluator ([`service`]) that memoizes outcomes in
+//! a sharded LRU cache ([`cache`]). A decision for a fixed engine is a
+//! pure function of `(url, document, resource type, sitekey, tenant)`,
+//! so cached responses are byte-identical to fresh engine evaluations
+//! — property-tested in this crate's test suite.
 //!
 //! One binary ships with the library: `abpd`, which serves decisions
 //! for the generated corpus (EasyList + Acceptable Ads whitelist).

@@ -1,4 +1,4 @@
-//! Per-shard service metrics: lock-free counters plus a fixed-bucket
+//! Per-slot service metrics: lock-free counters plus a fixed-bucket
 //! latency histogram good enough for p50/p99 reporting.
 
 use crate::protocol::{ShardStats, StatsReport};
@@ -230,36 +230,43 @@ impl ShardMetrics {
     }
 }
 
-/// All shards' metrics, plus service-wide resilience counters.
+/// The service's own metrics: one [`ReactorMetrics`] block per
+/// blocking-mode slot, plus the service-wide deadline counter.
 ///
-/// The resilience counters (`sheds`, `deadline_timeouts`) are reported
-/// through the `Health` verb, **not** `Stats` — `StatsReport` is a
-/// frozen wire shape (byte-identity is property-tested) and gaining
-/// fields would break it.
+/// The resilience counters (`deadline_timeouts`, contained panics) are
+/// reported through the `Health` verb, **not** `Stats` — `StatsReport`
+/// is a frozen wire shape (byte-identity is property-tested) and
+/// gaining fields would break it.
 pub struct Metrics {
-    /// Padded so two shards' counters never share a cache line.
-    shards: Vec<CacheAligned<ShardMetrics>>,
-    /// Batches refused with `Overloaded` by the queue watermark.
-    pub sheds: AtomicU64,
+    /// Padded (via [`ReactorMetrics`]) so two slots' counters never
+    /// share a cache line.
+    slots: Vec<ReactorMetrics>,
     /// Batches failed because their evaluation deadline passed.
     pub deadline_timeouts: AtomicU64,
 }
 
 impl Metrics {
-    /// Metrics for `shards` worker shards.
-    pub fn new(shards: usize) -> Self {
+    /// Metrics for `slots` blocking-mode slots.
+    pub fn new(slots: usize) -> Self {
         Metrics {
-            shards: (0..shards.max(1))
-                .map(|_| CacheAligned(ShardMetrics::default()))
+            slots: (0..slots.max(1))
+                .map(|_| ReactorMetrics::default())
                 .collect(),
-            sheds: AtomicU64::new(0),
             deadline_timeouts: AtomicU64::new(0),
         }
     }
 
-    /// The counters of one shard.
-    pub fn shard(&self, i: usize) -> &ShardMetrics {
-        &self.shards[i]
+    /// One slot's counters, contained-panic count included.
+    pub fn slot(&self, i: usize) -> &ReactorMetrics {
+        &self.slots[i]
+    }
+
+    /// Contained evaluation panics, per slot.
+    pub fn panics(&self) -> Vec<u64> {
+        self.slots
+            .iter()
+            .map(|s| s.eval_panics.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Snapshot everything into a wire-format report.
@@ -269,15 +276,15 @@ impl Metrics {
 
     /// Snapshot into a wire-format report with `extra` shard counters
     /// (the event-driven server's per-reactor metrics) appended after
-    /// the worker shards and folded into the totals. The merge happens
+    /// the service's own slots and folded into the totals. The merge happens
     /// here, at report time, precisely so the hot path never has to
     /// touch a shared line: reactors write their own padded counters
     /// and only a `Stats` request pays for summing them.
     pub fn report_with_extra(&self, extra: &[&ShardMetrics]) -> StatsReport {
         let all: Vec<&ShardMetrics> = self
-            .shards
+            .slots
             .iter()
-            .map(|s| &s.0)
+            .map(|s| &s.shard.0)
             .chain(extra.iter().copied())
             .collect();
         let shards: Vec<ShardStats> = all.iter().map(|s| s.snapshot()).collect();
@@ -306,15 +313,15 @@ impl Metrics {
     }
 
     /// Linear-counting estimate of distinct subscription masks served,
-    /// over the worker shards plus any `extra` (reactor) counters.
+    /// over the service's slots plus any `extra` (reactor) counters.
     pub fn distinct_tenants_with(&self, extra: &[&ShardMetrics]) -> u64 {
         let mut bitmap = [0u64; TENANT_BITMAP_WORDS];
         let mut requests = [0u64; TENANT_CARD_BUCKETS];
         let mut hits = [0u64; TENANT_CARD_BUCKETS];
         for s in self
-            .shards
+            .slots
             .iter()
-            .map(|s| &s.0)
+            .map(|s| &s.shard.0)
             .chain(extra.iter().copied())
         {
             s.fold_tenants(&mut bitmap, &mut requests, &mut hits);
@@ -323,17 +330,17 @@ impl Metrics {
     }
 }
 
-/// One reactor thread's counters, merged into `Stats`/`Health` replies
-/// on demand. The decision counters live in a padded [`ShardMetrics`]
-/// the owning reactor alone increments; `eval_panics` counts inline
-/// evaluations that panicked (injected or real) and were caught
-/// without killing the reactor — the event-mode analogue of a worker
-/// restart, appended to `HealthReport::shard_restarts`.
+/// One evaluation slot's counters — a reactor thread's, or one of the
+/// service's blocking-mode slots — merged into `Stats`/`Health` replies
+/// on demand. The decision counters live in a padded [`ShardMetrics`];
+/// `eval_panics` counts evaluations that panicked (injected or real)
+/// and were caught without killing the evaluating thread, reported in
+/// `HealthReport::shard_restarts`.
 #[derive(Default)]
 pub struct ReactorMetrics {
-    /// Decision counters for work evaluated inline on this reactor.
+    /// Decision counters for work evaluated against this slot.
     pub shard: CacheAligned<ShardMetrics>,
-    /// Caught inline-evaluation panics (survived, not respawned).
+    /// Caught evaluation panics (contained, the thread kept serving).
     pub eval_panics: AtomicU64,
 }
 
@@ -377,12 +384,12 @@ mod tests {
     #[test]
     fn report_sums_shards() {
         let m = Metrics::new(2);
-        m.shard(0).requests.fetch_add(10, Ordering::Relaxed);
-        m.shard(1).requests.fetch_add(5, Ordering::Relaxed);
-        m.shard(0).blocks.fetch_add(3, Ordering::Relaxed);
-        m.shard(1).cache_hits.fetch_add(2, Ordering::Relaxed);
-        m.shard(0).latency.record_us(7);
-        m.shard(1).latency.record_us(400);
+        m.slot(0).shard.requests.fetch_add(10, Ordering::Relaxed);
+        m.slot(1).shard.requests.fetch_add(5, Ordering::Relaxed);
+        m.slot(0).shard.blocks.fetch_add(3, Ordering::Relaxed);
+        m.slot(1).shard.cache_hits.fetch_add(2, Ordering::Relaxed);
+        m.slot(0).shard.latency.record_us(7);
+        m.slot(1).shard.latency.record_us(400);
         let r = m.report();
         assert_eq!(r.requests, 15);
         assert_eq!(r.blocks, 3);
@@ -396,17 +403,17 @@ mod tests {
         let m = Metrics::new(2);
         // Three distinct masks across two shards: a 1-list user, a
         // 2-list user (hit + miss), and the legacy union view.
-        m.shard(0).record_tenant(0b01, false);
-        m.shard(0).record_tenant(0b11, false);
-        m.shard(1).record_tenant(0b11, true);
-        m.shard(1).record_tenant(u64::MAX, true);
+        m.slot(0).shard.record_tenant(0b01, false);
+        m.slot(0).shard.record_tenant(0b11, false);
+        m.slot(1).shard.record_tenant(0b11, true);
+        m.slot(1).shard.record_tenant(u64::MAX, true);
         let r = m.report();
         assert_eq!(r.tenant_requests_by_lists, vec![1, 2, 0, 0, 1]);
         assert_eq!(r.tenant_cache_hits_by_lists, vec![0, 1, 0, 0, 1]);
         // Small cardinalities are exact under linear counting.
         assert_eq!(r.distinct_tenants, 3);
         assert_eq!(m.distinct_tenants_with(&[]), 3);
-        // Reactor counters merge like worker shards.
+        // Reactor counters merge like the service's own slots.
         let extra = ReactorMetrics::default();
         extra.shard.record_tenant(0b10, true);
         assert_eq!(m.distinct_tenants_with(&[&extra.shard]), 4);
@@ -423,7 +430,7 @@ mod tests {
     fn tenant_estimate_tracks_large_populations() {
         let m = Metrics::new(1);
         for mask in 0..400u64 {
-            m.shard(0).record_tenant(mask | 1, false);
+            m.slot(0).shard.record_tenant(mask | 1, false);
         }
         let est = m.report().distinct_tenants;
         // ~200 distinct masks (odd-bit collapse halves the range);
@@ -444,16 +451,16 @@ mod tests {
         assert_eq!(std::mem::align_of::<CacheAligned<ShardMetrics>>(), 64);
         assert_eq!(std::mem::size_of::<CacheAligned<ShardMetrics>>() % 64, 0);
         let m = Metrics::new(4);
-        let a = m.shard(0) as *const _ as usize;
-        let b = m.shard(1) as *const _ as usize;
+        let a = m.slot(0) as *const _ as usize;
+        let b = m.slot(1) as *const _ as usize;
         assert!(b - a >= 64, "adjacent shards {a:#x}/{b:#x} share a line");
     }
 
     #[test]
     fn extra_shards_merge_into_totals_and_tail() {
         let m = Metrics::new(1);
-        m.shard(0).requests.fetch_add(10, Ordering::Relaxed);
-        m.shard(0).latency.record_us(5);
+        m.slot(0).shard.requests.fetch_add(10, Ordering::Relaxed);
+        m.slot(0).shard.latency.record_us(5);
         let r0 = ReactorMetrics::default();
         r0.shard.requests.fetch_add(7, Ordering::Relaxed);
         r0.shard.blocks.fetch_add(2, Ordering::Relaxed);

@@ -3,11 +3,11 @@
 //! changes answers.
 //!
 //! For any request, the service's response — whether it was computed
-//! by a shard worker or replayed from the LRU cache — must serialize
+//! on a cache miss or replayed from the LRU cache — must serialize
 //! byte-identically to a direct `Engine::match_request` evaluation,
 //! activation lists included. The [`wire_equivalence`] module holds
-//! the codec properties; [`pipelining`] drives a real TCP server at
-//! random depths against the lockstep client.
+//! the codec properties; [`pipelining`] drives a real TCP server in
+//! both modes at random depths against the lockstep client.
 
 use crate::protocol::DecisionRequest;
 use crate::service::{Service, ServiceConfig};
@@ -40,12 +40,14 @@ fn test_engine() -> Engine {
     Engine::from_lists([&easylist, &whitelist])
 }
 
+/// The engine's own answer for `dr`, under its tenant mask (the union
+/// view when it carries none).
 fn direct_outcome(engine: &Engine, dr: &DecisionRequest) -> abp::RequestOutcome {
     let mut req = Request::new(&dr.url, &dr.document, dr.resource_type).unwrap();
     if let Some(k) = &dr.sitekey {
         req = req.with_sitekey(k.clone());
     }
-    engine.match_request(&req)
+    engine.match_request_masked(&req, dr.tenant.unwrap_or(u64::MAX))
 }
 
 fn service(cache_capacity: usize) -> Service {
@@ -53,7 +55,6 @@ fn service(cache_capacity: usize) -> Service {
         test_engine(),
         &ServiceConfig {
             shards: 3,
-            queue_depth: 32,
             cache_capacity,
             ..ServiceConfig::default()
         },
@@ -426,11 +427,12 @@ mod wire_equivalence {
 }
 
 /// Pipelining is a throughput knob, never a semantics knob: at any
-/// depth and batch size, the responses equal the lockstep client's
-/// and the direct engine evaluation.
+/// depth and batch size, in either server mode and under any tenant
+/// mask, the answers that come off the socket equal the lockstep
+/// client's and `Engine::match_request_masked` on the same input.
 mod pipelining {
     use super::*;
-    use crate::server::{Server, ServerConfig};
+    use crate::server::{Server, ServerConfig, ServerMode};
     use crate::Client;
 
     proptest! {
@@ -441,15 +443,20 @@ mod pipelining {
             depth in 1usize..20,
             batch in 1usize..10,
             use_batches in any::<bool>(),
+            mode in prop::sample::select(&[ServerMode::Blocking, ServerMode::Event][..]),
+            // No mask (the union view), no lists, EasyList only, the
+            // whitelist only, both lists.
+            tenant in prop::sample::select(&[None, Some(0u64), Some(0b01), Some(0b10), Some(0b11)][..]),
         ) {
             let server = Server::start(
                 test_engine(),
                 &ServerConfig {
                     addr: "127.0.0.1:0".to_string(),
                     max_line_bytes: 1024 * 1024,
+                    mode,
+                    io_threads: 2,
                     service: ServiceConfig {
                         shards: 2,
-                        queue_depth: 32,
                         cache_capacity: 64,
                         ..ServiceConfig::default()
                     },
@@ -470,7 +477,7 @@ mod pipelining {
                     document: format!("{h}.example"),
                     resource_type,
                     sitekey: None,
-                    tenant: None,
+                    tenant,
                 })
                 .collect();
 

@@ -144,9 +144,10 @@ pub struct ReloadReport {
 /// Overall service health, reported by the `Health` verb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
-    /// Every shard worker is up.
+    /// Serving.
     Ok,
-    /// At least one shard worker is down awaiting restart.
+    /// Serving with reduced capacity. A single `abpd` never reports
+    /// it; the fleet router does when a shard is unreachable.
     Degraded,
     /// Shutdown has begun; the server is draining connections.
     Draining,
@@ -200,9 +201,12 @@ pub struct HealthReport {
     pub generation: u64,
     /// Successful reloads since startup.
     pub reloads: u64,
-    /// Restarts per worker shard since startup (index = shard id).
+    /// Evaluation panics contained since startup: one entry per cache
+    /// shard (blocking connections), then one per event-mode reactor.
     pub shard_restarts: Vec<u64>,
-    /// Batches refused with `Overloaded` by the queue watermark.
+    /// Batches refused with `Overloaded`. Always 0 from a shard, which
+    /// queues nothing and so sheds nothing; kept for wire
+    /// compatibility.
     pub shed: u64,
     /// Batches failed because their evaluation deadline passed.
     pub deadline_timeouts: u64,

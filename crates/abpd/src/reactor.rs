@@ -1,18 +1,16 @@
 //! The event-driven server mode: N reactor threads, each owning an
 //! epoll instance, a `SO_REUSEPORT` listener (or a dispatch channel
-//! when reuseport is unavailable), its nonblocking connections, and
-//! all the hot state a decision touches — read/write buffers,
-//! [`BatchScratch`], a [`LocalEval`] with its unsynchronized decision
-//! cache, and cache-line-padded metrics.
+//! when reuseport is unavailable), its nonblocking connections, its
+//! read/write buffers and [`BatchScratch`], and a [`LocalEval`] naming
+//! its cache-line-padded metrics and fault slot.
 //!
 //! A connection is accepted by exactly one reactor and never migrates:
-//! parse → evaluate → corked reply all run on that core, so the steady
-//! state shares no cache line between cores. Oversized `DecideBatch`
-//! work escalates to the sharded worker pool through
-//! [`Service::decide_batch_local`], keeping the pool's shed, deadline,
-//! and supervision semantics; `Reload`/`ReloadDelta`/`Health`/`Stats`
-//! answer on the reactor, with `Stats`/`Health` merging the
-//! per-reactor counters on demand.
+//! parse → evaluate → corked reply all run on that thread, whatever
+//! the batch size. Lines are answered by the same dispatcher as the
+//! blocking server ([`crate::server::answer_line`]); decisions take
+//! [`Service::decide_batch_local`] against the service's one sharded
+//! cache, and `Stats`/`Health` merge the per-reactor counters on
+//! demand.
 //!
 //! Replies stay corked per readiness burst: every line parsed from one
 //! drained read burst appends to the connection's write buffer, which
@@ -26,10 +24,9 @@
 use crate::faults::{FaultPlan, WriteFault};
 use crate::metrics::ReactorMetrics;
 use crate::poll::{self, Poller, WakeFd};
-use crate::protocol::ReloadList;
-use crate::server::{write_batch_error, ServerConfig};
-use crate::service::{BatchScratch, LocalEval, ReloadDeltaError, Service};
-use crate::wire::{self, ClientMessageRef};
+use crate::server::{answer_line, ServerConfig};
+use crate::service::{BatchScratch, LocalEval, Service};
+use crate::wire;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -47,7 +44,7 @@ const CORK_FLUSH_BYTES: usize = 64 * 1024;
 pub(crate) const WRITE_BACKPRESSURE_BYTES: usize = 256 * 1024;
 
 /// Fault-plan slot base for reactor eval draws, keeping their
-/// schedules disjoint from the worker shards' low slots.
+/// schedules disjoint from the blocking-mode slots' low ones.
 const EVAL_SLOT_BASE: usize = 32;
 
 const TOKEN_WAKE: u64 = 0;
@@ -158,16 +155,10 @@ impl EventServer {
             }
         }
 
-        let cache_capacity = (config.service.cache_capacity / n).max(1);
         let mut threads = Vec::with_capacity(n);
         let mut listeners = listeners.into_iter();
         for (idx, rx) in incoming_rx.into_iter().enumerate() {
-            let local = shared.service.local_eval(
-                EVAL_SLOT_BASE + idx,
-                cache_capacity,
-                config.inline_batch_max.max(1),
-                shared.reactors[idx].clone(),
-            );
+            let local = LocalEval::new(EVAL_SLOT_BASE + idx, shared.reactors[idx].clone());
             let reactor = Reactor {
                 idx,
                 shared: shared.clone(),
@@ -580,7 +571,7 @@ impl Reactor {
                         } else {
                             end
                         };
-                        shutdown = self.handle_line_split(conn, consumed, line_end)?;
+                        shutdown = self.answer(conn, consumed, line_end);
                     }
                     consumed = end + 1;
                     if shutdown {
@@ -596,99 +587,21 @@ impl Reactor {
         Ok(shutdown)
     }
 
-    /// Borrow-splitting shim: `conn.buf[start..end]` is the request
-    /// line, `conn.out` the reply sink — disjoint fields, but both
-    /// reachable only through `conn` while `self` carries the scratch
-    /// and local-eval state.
-    fn handle_line_split(&mut self, conn: &mut Conn, start: usize, end: usize) -> io::Result<bool> {
-        // Move the buffers out so `self` and the line can be borrowed
-        // together, then restore them.
-        let buf = std::mem::take(&mut conn.buf);
-        let mut out = std::mem::take(&mut conn.out);
-        let result = self.handle_line(&buf[start..end], &mut out);
-        conn.buf = buf;
-        conn.out = out;
-        result
-    }
-
-    /// Answer one request line into `out`. Mirrors the blocking
-    /// server's dispatch, but decisions take the inline
-    /// [`Service::decide_batch_local`] path and `Stats`/`Health` merge
-    /// the per-reactor counters.
-    fn handle_line(&mut self, raw: &[u8], out: &mut Vec<u8>) -> io::Result<bool> {
-        let service = &self.shared.service;
-        let Ok(text) = std::str::from_utf8(raw) else {
-            wire::write_error("unparseable message: request line is not UTF-8", out);
-            out.push(b'\n');
-            return Ok(false);
-        };
-        if text.trim().is_empty() {
-            return Ok(false);
+    /// Answer the request line `conn.buf[start..end]` into `conn.out`
+    /// with the shared dispatcher; `true` when it was `Shutdown`.
+    fn answer(&mut self, conn: &mut Conn, start: usize, end: usize) -> bool {
+        let shutdown = answer_line(
+            &self.shared.service,
+            &conn.buf[start..end],
+            &mut self.scratch,
+            Some(&mut self.local),
+            &self.shared.reactors,
+            &mut conn.out,
+        );
+        if shutdown {
+            self.initiate_stop();
         }
-        match wire::parse_client_message(text) {
-            Err(e) => wire::write_error(&format!("unparseable message: {e}"), out),
-            Ok(ClientMessageRef::Ping) => wire::write_pong(out),
-            Ok(ClientMessageRef::Stats) => {
-                wire::write_stats_reply(&service.stats_with(&self.shared.reactors), out)
-            }
-            Ok(ClientMessageRef::Decide(req)) => {
-                match service.decide_batch_local(
-                    std::slice::from_ref(&req),
-                    &mut self.scratch,
-                    &mut self.local,
-                ) {
-                    Ok(()) => wire::write_decision_reply(&self.scratch.responses()[0], out),
-                    Err(e) => write_batch_error(&e, out),
-                }
-            }
-            Ok(ClientMessageRef::DecideBatch(reqs)) => {
-                match service.decide_batch_local(&reqs, &mut self.scratch, &mut self.local) {
-                    Ok(()) => wire::write_batch_reply(self.scratch.responses(), out),
-                    Err(e) => write_batch_error(&e, out),
-                }
-            }
-            Ok(ClientMessageRef::Reload(lists)) => {
-                let owned: Vec<ReloadList> = lists
-                    .into_iter()
-                    .map(|l| ReloadList {
-                        source: l.source,
-                        content: l.content.into_owned(),
-                    })
-                    .collect();
-                match service.reload(&owned) {
-                    Ok(report) => wire::write_reloaded(&report, out),
-                    Err(e) => wire::write_error(&e, out),
-                }
-            }
-            Ok(ClientMessageRef::ReloadDelta(deltas)) => match service.reload_delta(&deltas) {
-                Ok(report) => wire::write_reloaded(&report, out),
-                Err(ReloadDeltaError::BaseMismatch {
-                    source,
-                    serving_check,
-                    generation,
-                }) => wire::write_reload_base_mismatch(
-                    &crate::protocol::ReloadMismatch {
-                        source,
-                        serving_check,
-                        generation,
-                    },
-                    out,
-                ),
-                Err(ReloadDeltaError::Rejected(e)) => wire::write_error(&e, out),
-            },
-            Ok(ClientMessageRef::Health) => {
-                wire::write_health_reply(&service.health_with(&self.shared.reactors), out)
-            }
-            Ok(ClientMessageRef::Shutdown) => {
-                service.begin_drain();
-                wire::write_shutting_down(out);
-                out.push(b'\n');
-                self.initiate_stop();
-                return Ok(true);
-            }
-        }
-        out.push(b'\n');
-        Ok(false)
+        shutdown
     }
 
     fn initiate_stop(&self) {

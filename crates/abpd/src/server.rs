@@ -3,8 +3,11 @@
 //! One OS thread per connection reads newline-delimited
 //! [`ClientMessage`](crate::protocol::ClientMessage) lines and writes
 //! one [`ServerMessage`](crate::protocol::ServerMessage) line per
-//! request, in order. `Shutdown` stops the acceptor, waits for open
-//! connections to finish, then drains the shard workers.
+//! request, in order, deciding each batch itself through
+//! [`Service::decide_batch_into`] — the connection thread is the only
+//! thread a decision touches. Lines are answered by [`answer_line`],
+//! the dispatcher the event-mode reactors share. `Shutdown` stops the
+//! acceptor and waits for open connections to finish.
 //!
 //! The connection loop is built for pipelined clients: requests are
 //! parsed with the zero-copy [`wire`](crate::wire) codec straight out
@@ -21,11 +24,12 @@
 //! with an `Error` naming its byte count, and the stream stays in sync.
 
 use crate::faults::{FaultPlan, WriteFault};
+use crate::metrics::ReactorMetrics;
 use crate::poll;
 use crate::protocol::ReloadList;
 use crate::reactor::EventServer;
-use crate::service::{ReloadDeltaError, Service, ServiceConfig, ServiceError};
-use crate::wire::{self, ClientMessageRef, LineRead};
+use crate::service::{BatchScratch, LocalEval, ReloadDeltaError, Service, ServiceConfig};
+use crate::wire::{self, ClientMessageRef, DecisionRequestRef, LineRead};
 use abp::Engine;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,8 +49,8 @@ pub enum ServerMode {
     #[default]
     Blocking,
     /// Thread-per-core epoll reactors with `SO_REUSEPORT` listeners
-    /// and shard-local hot state (the `reactor` module). Falls back to
-    /// [`ServerMode::Blocking`] where epoll is unavailable.
+    /// (the `reactor` module). Falls back to [`ServerMode::Blocking`]
+    /// where epoll is unavailable.
     Event,
 }
 
@@ -77,19 +81,20 @@ pub struct ServerConfig {
     /// Reactor count for [`ServerMode::Event`]; 0 sizes to the host's
     /// available parallelism. Ignored in blocking mode.
     pub io_threads: usize,
-    /// Largest `DecideBatch` evaluated inline on a reactor; bigger
-    /// batches escalate to the sharded worker pool. Ignored in
-    /// blocking mode.
+    /// Ignored: every `DecideBatch`, whatever its size, is evaluated on
+    /// the thread that read it. Kept so existing callers compile.
+    #[deprecated(note = "ignored: every batch is evaluated inline on the thread that read it")]
     pub inline_batch_max: usize,
     /// Try per-reactor `SO_REUSEPORT` listeners (kernel-side accept
     /// balancing); when off or unavailable, one acceptor thread
     /// round-robins connections to the reactors. Ignored in blocking
     /// mode.
     pub reuseport: bool,
-    /// Worker/cache configuration.
+    /// Cache, deadline and fault configuration.
     pub service: ServiceConfig,
 }
 
+#[allow(deprecated)] // `inline_batch_max` still needs a value
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -253,7 +258,7 @@ impl Server {
         self.service().filter_count()
     }
 
-    /// Worker shard count.
+    /// Decision-cache shard count.
     pub fn shard_count(&self) -> usize {
         self.service().shard_count()
     }
@@ -269,8 +274,7 @@ impl Server {
         }
     }
 
-    /// Stop accepting, wait for open connections and queued work, then
-    /// join the workers.
+    /// Stop accepting and wait for open connections to finish.
     pub fn shutdown(self) {
         match self.inner {
             Inner::Blocking {
@@ -281,7 +285,6 @@ impl Server {
                 if let Some(a) = acceptor.take() {
                     let _ = a.join();
                 }
-                // All connections closed; the service drains on drop.
             }
             Inner::Event(server) => server.shutdown(),
         }
@@ -411,14 +414,88 @@ fn trigger_stop(shared: &Shared, addr: SocketAddr) {
     }
 }
 
-/// Map a batch failure to its wire reply: shed work answers with the
-/// fast `Overloaded` verb (clients back off and retry), everything
-/// else with `Error`. Shared with the reactor path.
-pub(crate) fn write_batch_error(e: &ServiceError, out: &mut Vec<u8>) {
-    match e {
-        ServiceError::Overloaded => wire::write_overloaded(out),
-        other => wire::write_error(&other.to_string(), out),
+/// Answer one request line into `out`, newline included (a blank line
+/// gets no reply). The one dispatcher behind both server modes: a
+/// blocking connection passes no [`LocalEval`] and no reactor metrics,
+/// so decisions go through [`Service::decide_batch_into`] on its
+/// scratch slot; a reactor passes its own, so decisions go through
+/// [`Service::decide_batch_local`] and `Stats`/`Health` merge every
+/// reactor's counters. Returns `true` once a `Shutdown` verb has been
+/// acknowledged: the caller stops the server and answers nothing more
+/// on this connection.
+pub(crate) fn answer_line(
+    service: &Service,
+    raw: &[u8],
+    scratch: &mut BatchScratch,
+    mut local: Option<&mut LocalEval>,
+    reactors: &[Arc<ReactorMetrics>],
+    out: &mut Vec<u8>,
+) -> bool {
+    let Ok(text) = std::str::from_utf8(raw) else {
+        wire::write_error("unparseable message: request line is not UTF-8", out);
+        out.push(b'\n');
+        return false;
+    };
+    if text.trim().is_empty() {
+        return false;
     }
+    let mut decide = |reqs: &[DecisionRequestRef<'_>]| match local.as_deref_mut() {
+        Some(local) => service.decide_batch_local(reqs, scratch, local),
+        None => service.decide_batch_into(reqs, scratch),
+    };
+    match wire::parse_client_message(text) {
+        Err(e) => wire::write_error(&format!("unparseable message: {e}"), out),
+        Ok(ClientMessageRef::Ping) => wire::write_pong(out),
+        Ok(ClientMessageRef::Stats) => wire::write_stats_reply(&service.stats_with(reactors), out),
+        Ok(ClientMessageRef::Decide(req)) => match decide(std::slice::from_ref(&req)) {
+            Ok(()) => wire::write_decision_reply(&scratch.responses()[0], out),
+            Err(e) => wire::write_error(&e.to_string(), out),
+        },
+        Ok(ClientMessageRef::DecideBatch(reqs)) => match decide(&reqs) {
+            Ok(()) => wire::write_batch_reply(scratch.responses(), out),
+            Err(e) => wire::write_error(&e.to_string(), out),
+        },
+        Ok(ClientMessageRef::Reload(lists)) => {
+            let owned: Vec<ReloadList> = lists
+                .into_iter()
+                .map(|l| ReloadList {
+                    source: l.source,
+                    content: l.content.into_owned(),
+                })
+                .collect();
+            match service.reload(&owned) {
+                Ok(report) => wire::write_reloaded(&report, out),
+                Err(e) => wire::write_error(&e, out),
+            }
+        }
+        Ok(ClientMessageRef::ReloadDelta(deltas)) => match service.reload_delta(&deltas) {
+            Ok(report) => wire::write_reloaded(&report, out),
+            Err(ReloadDeltaError::BaseMismatch {
+                source,
+                serving_check,
+                generation,
+            }) => wire::write_reload_base_mismatch(
+                &crate::protocol::ReloadMismatch {
+                    source,
+                    serving_check,
+                    generation,
+                },
+                out,
+            ),
+            Err(ReloadDeltaError::Rejected(e)) => wire::write_error(&e, out),
+        },
+        Ok(ClientMessageRef::Health) => {
+            wire::write_health_reply(&service.health_with(reactors), out)
+        }
+        Ok(ClientMessageRef::Shutdown) => {
+            service.begin_drain();
+            wire::write_shutting_down(out);
+            out.push(b'\n');
+            return true;
+        }
+    }
+    out.push(b'\n');
+    false
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr, conn_id: u64) {
@@ -454,89 +531,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr, conn_
                 );
                 out.push(b'\n');
             }
-            Ok(LineRead::Line) => match std::str::from_utf8(&line) {
-                Err(_) => {
-                    wire::write_error("unparseable message: request line is not UTF-8", &mut out);
-                    out.push(b'\n');
+            Ok(LineRead::Line) => {
+                if answer_line(&shared.service, &line, &mut scratch, None, &[], &mut out) {
+                    // Every earlier request on this connection is
+                    // already answered (the loop is synchronous), so
+                    // flushing the corked burst with the ack drains the
+                    // pipeline before the socket closes.
+                    let _ = writer.write_all(&out);
+                    trigger_stop(shared, addr);
+                    return;
                 }
-                Ok(text) if text.trim().is_empty() => {}
-                Ok(text) => {
-                    match wire::parse_client_message(text) {
-                        Err(e) => wire::write_error(&format!("unparseable message: {e}"), &mut out),
-                        Ok(ClientMessageRef::Ping) => wire::write_pong(&mut out),
-                        Ok(ClientMessageRef::Stats) => {
-                            wire::write_stats_reply(&shared.service.stats(), &mut out)
-                        }
-                        Ok(ClientMessageRef::Decide(req)) => {
-                            match shared
-                                .service
-                                .decide_batch_into(std::slice::from_ref(&req), &mut scratch)
-                            {
-                                Ok(()) => {
-                                    wire::write_decision_reply(&scratch.responses()[0], &mut out)
-                                }
-                                Err(e) => write_batch_error(&e, &mut out),
-                            }
-                        }
-                        Ok(ClientMessageRef::DecideBatch(reqs)) => {
-                            match shared.service.decide_batch_into(&reqs, &mut scratch) {
-                                Ok(()) => wire::write_batch_reply(scratch.responses(), &mut out),
-                                Err(e) => write_batch_error(&e, &mut out),
-                            }
-                        }
-                        Ok(ClientMessageRef::Reload(lists)) => {
-                            let owned: Vec<ReloadList> = lists
-                                .into_iter()
-                                .map(|l| ReloadList {
-                                    source: l.source,
-                                    content: l.content.into_owned(),
-                                })
-                                .collect();
-                            match shared.service.reload(&owned) {
-                                Ok(report) => wire::write_reloaded(&report, &mut out),
-                                Err(e) => wire::write_error(&e, &mut out),
-                            }
-                        }
-                        Ok(ClientMessageRef::ReloadDelta(deltas)) => {
-                            match shared.service.reload_delta(&deltas) {
-                                Ok(report) => wire::write_reloaded(&report, &mut out),
-                                Err(ReloadDeltaError::BaseMismatch {
-                                    source,
-                                    serving_check,
-                                    generation,
-                                }) => wire::write_reload_base_mismatch(
-                                    &crate::protocol::ReloadMismatch {
-                                        source,
-                                        serving_check,
-                                        generation,
-                                    },
-                                    &mut out,
-                                ),
-                                Err(ReloadDeltaError::Rejected(e)) => {
-                                    wire::write_error(&e, &mut out)
-                                }
-                            }
-                        }
-                        Ok(ClientMessageRef::Health) => {
-                            wire::write_health_reply(&shared.service.health(), &mut out)
-                        }
-                        Ok(ClientMessageRef::Shutdown) => {
-                            // Every earlier request on this connection
-                            // is already answered (the loop is
-                            // synchronous), so flushing the corked
-                            // burst with the ack drains the pipeline
-                            // before the socket closes.
-                            shared.service.begin_drain();
-                            wire::write_shutting_down(&mut out);
-                            out.push(b'\n');
-                            let _ = writer.write_all(&out);
-                            trigger_stop(shared, addr);
-                            return;
-                        }
-                    }
-                    out.push(b'\n');
-                }
-            },
+            }
         }
         // Cork: replies are flushed by the would-block hook above the
         // moment the reader would sleep on the socket, so here only the

@@ -357,7 +357,6 @@ mod tests {
             threads: 4,
             seed: testutil::SEED,
         };
-        let before = abp::engine_compile_count();
         let union = std::sync::Arc::new(Engine::from_lists([&c.easylist, &c.whitelist]));
         let selectors = std::sync::Arc::new(crawler::selcache::SelectorCache::build(&union));
         let engines: Vec<NamedEngine> = SURVEY_TENANTS
@@ -366,9 +365,15 @@ mod tests {
             .collect();
         let ranks: Vec<u32> = (1..=cfg.top_n).collect();
         let visits = crawl_ranks(testutil::web(), &engines, &ranks, cfg.threads);
+        assert!(
+            engines
+                .iter()
+                .all(|e| std::sync::Arc::ptr_eq(&e.engine, &union)),
+            "every survey config must ride the union engine"
+        );
         assert_eq!(
-            abp::engine_compile_count(),
-            before + 1,
+            union.compiles(),
+            1,
             "four survey configs must cost one compile"
         );
         for v in &visits {

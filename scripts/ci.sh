@@ -14,6 +14,12 @@ cargo test -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> perfbench self-test (the benchmark builds and runs against this tree)"
+# perfbench is its own workspace, built against crates/ by path; a
+# change that breaks the API it uses fails here rather than only when
+# the benchmark is next run.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "==> abpd smoke (~2s of synthesized traffic over localhost TCP)"
 ./target/release/abpd --addr 127.0.0.1:0 >/tmp/abpd-ci.log 2>&1 &
 ABPD_PID=$!

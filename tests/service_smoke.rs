@@ -31,7 +31,6 @@ fn start_server(mode: ServerMode) -> Server {
         io_threads: 2,
         service: ServiceConfig {
             shards: 2,
-            queue_depth: 64,
             cache_capacity: 1024,
             ..ServiceConfig::default()
         },
@@ -85,9 +84,7 @@ fn single_decisions_over_tcp(mode: ServerMode) {
         assert_eq!(resp.outcome, direct);
         assert!(!resp.cached);
     }
-    // Replays hit the cache with identical outcomes. (In event mode
-    // that's the reactor's shard-local cache: same connection, same
-    // reactor, so the replay must still hit.)
+    // Replays hit the cache with identical outcomes, in both modes.
     for case in &cases {
         let resp = client.decide(case).expect("decide again");
         assert!(resp.cached);
@@ -132,7 +129,7 @@ fn batches_preserve_order_and_feed_stats(mode: ServerMode) {
     assert!(resps2.iter().all(|r| r.cached));
 
     // Totals are identical in both modes; the event path just reports
-    // its two reactor metric shards after the two worker shards.
+    // its two reactor metric entries after the two blocking-mode slots.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.requests, 2 * batch.len() as u64);
     assert_eq!(stats.cache_hits, batch.len() as u64);
@@ -143,6 +140,30 @@ fn batches_preserve_order_and_feed_stats(mode: ServerMode) {
         stats.requests,
         stats.shards.iter().map(|s| s.requests).sum::<u64>()
     );
+
+    // A batch of more than a thousand requests is decided whole on the
+    // reading thread, in order, with repeats inside the batch answered
+    // from the cache.
+    let big: Vec<DecisionRequest> = (0..1_200)
+        .map(|i| {
+            dr(
+                &format!("http://host{}.adzerk.net/reddit/f{}.html", i % 8, i % 400),
+                ["www.reddit.com", "news.example"][i % 2],
+                ResourceType::Subdocument,
+            )
+        })
+        .collect();
+    let resps = client.decide_batch(&big).expect("big batch");
+    assert_eq!(resps.len(), big.len());
+    for (req, resp) in big.iter().zip(&resps) {
+        let direct = engine
+            .match_request(&Request::new(&req.url, &req.document, req.resource_type).unwrap());
+        assert_eq!(resp.outcome, direct, "order preserved for {}", req.url);
+    }
+    // 400 distinct keys, each seen three times: two of three hit.
+    assert_eq!(resps.iter().filter(|r| r.cached).count(), 800);
+    let stats = client.stats().expect("stats after the big batch");
+    assert_eq!(stats.requests, 2 * batch.len() as u64 + big.len() as u64);
     drop(client);
     server.shutdown();
 }
@@ -248,7 +269,6 @@ fn oversized_lines_get_bounded_error_and_resync(mode: ServerMode) {
         mode,
         service: ServiceConfig {
             shards: 1,
-            queue_depth: 16,
             cache_capacity: 64,
             ..ServiceConfig::default()
         },
