@@ -22,6 +22,7 @@
 //! of per-node heap allocations.
 
 use crate::intern::{ByteArena, Span};
+use std::collections::HashMap;
 
 /// "No node" sentinel in `fail`/`out_link` chains.
 const NONE: u32 = u32::MAX;
@@ -297,14 +298,31 @@ impl Automaton {
 /// Build-time trie node for [`HostLabelTrie`].
 #[derive(Debug, Default)]
 struct LabelBuildNode {
-    edges: Vec<(String, u32)>,
+    /// Child edges as `(label id, child)`, in insertion order.
+    edges: Vec<(u32, u32)>,
     ids: Vec<u32>,
 }
 
 /// Accumulates `(domain, id)` pairs for a [`HostLabelTrie`].
-#[derive(Debug, Default)]
+///
+/// Inserts are O(1) per label: labels are interned once, and child
+/// lookup is a hash probe on `(node, label id)` rather than a scan of
+/// the node's edges — a request-filter trie puts thousands of edges
+/// under `com`.
+#[derive(Debug)]
 pub struct HostLabelTrieBuilder {
     nodes: Vec<LabelBuildNode>,
+    /// Interned label strings, indexed by label id.
+    labels: Vec<String>,
+    label_ids: HashMap<String, u32>,
+    /// `(node, label id) → child node`.
+    children: HashMap<(u32, u32), u32>,
+}
+
+impl Default for HostLabelTrieBuilder {
+    fn default() -> HostLabelTrieBuilder {
+        HostLabelTrieBuilder::new()
+    }
 }
 
 impl HostLabelTrieBuilder {
@@ -312,6 +330,9 @@ impl HostLabelTrieBuilder {
     pub fn new() -> HostLabelTrieBuilder {
         HostLabelTrieBuilder {
             nodes: vec![LabelBuildNode::default()],
+            labels: Vec::new(),
+            label_ids: HashMap::new(),
+            children: HashMap::new(),
         }
     }
 
@@ -329,19 +350,29 @@ impl HostLabelTrieBuilder {
     }
 
     fn walk_or_create(&mut self, domain: &str) -> usize {
-        let mut v = 0usize;
+        let mut v = 0u32;
         for label in domain.rsplit('.') {
-            v = match self.nodes[v].edges.iter().find(|(l, _)| l == label) {
-                Some(&(_, child)) => child as usize,
+            let lid = match self.label_ids.get(label) {
+                Some(&lid) => lid,
+                None => {
+                    let lid = self.labels.len() as u32;
+                    self.labels.push(label.to_string());
+                    self.label_ids.insert(label.to_string(), lid);
+                    lid
+                }
+            };
+            v = match self.children.get(&(v, lid)) {
+                Some(&child) => child,
                 None => {
                     let child = self.nodes.len() as u32;
-                    self.nodes[v].edges.push((label.to_string(), child));
+                    self.children.insert((v, lid), child);
+                    self.nodes[v as usize].edges.push((lid, child));
                     self.nodes.push(LabelBuildNode::default());
-                    child as usize
+                    child
                 }
             };
         }
-        v
+        v as usize
     }
 
     /// Flatten into the immutable query form.
@@ -355,11 +386,13 @@ impl HostLabelTrieBuilder {
         let mut ids = Vec::new();
         edge_starts.push(0u32);
         id_starts.push(0u32);
+        let labels = &self.labels;
         for node in &mut self.nodes {
-            node.edges.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-            for (label, t) in &node.edges {
-                edge_labels.push(arena.push(label.as_bytes()));
-                edge_targets.push(*t);
+            node.edges
+                .sort_unstable_by(|(a, _), (b, _)| labels[*a as usize].cmp(&labels[*b as usize]));
+            for &(lid, t) in &node.edges {
+                edge_labels.push(arena.push(labels[lid as usize].as_bytes()));
+                edge_targets.push(t);
             }
             ids.extend_from_slice(&node.ids);
             edge_starts.push(edge_labels.len() as u32);

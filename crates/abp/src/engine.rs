@@ -27,12 +27,21 @@
 //!
 //! * filter text, and the per-request subject URL, are interned
 //!   ([`IStr`]) so recording an activation never copies string bytes;
-//! * all request filters — tokenized *and* untokenized — compile into
-//!   one literal-anchor [`Automaton`](crate::anchors::Automaton): a
-//!   single pass over the lowercased URL emits exactly the candidate
-//!   set, so untokenized filters are scanned only when their longest
-//!   literal actually occurs (filters with no extractable anchor stay
-//!   in a tiny always-scan tail);
+//! * request filters whose applicability hinges on the request
+//!   *context* rather than the URL live in a **context index**:
+//!   `domain=`-restricted filters in a reversed-label
+//!   [`HostLabelTrie`] keyed by include domain (one walk over the first
+//!   party), `$sitekey` filters in a key → ids map (one probe when the
+//!   request carries a verified key). Most of the Acceptable Ads
+//!   whitelist is restricted, and almost none of it applies on any one
+//!   page, so these filters never enter the URL scan;
+//! * every other request filter — tokenized *and* untokenized —
+//!   compiles into one literal-anchor
+//!   [`Automaton`](crate::anchors::Automaton): a single pass over the
+//!   lowercased URL emits exactly the candidate set, so untokenized
+//!   filters are scanned only when their longest literal actually
+//!   occurs (filters with no extractable anchor stay in a tiny
+//!   always-scan tail);
 //! * candidates canonicalize to ascending filter-id (list insertion)
 //!   order — one sort+dedup of a short id vector — so evaluation order
 //!   is a pure function of the subscribed lists, not of index layout,
@@ -215,6 +224,51 @@ impl TokenIndexBuilder {
     }
 }
 
+/// Request filters found by request context instead of by URL token.
+/// Routing is decided per filter at add time, and a routed filter
+/// never enters the token builders, so the URL automaton and the
+/// context index partition the request filters.
+///
+/// Routing is sound because it only ever skips a filter whose own
+/// `matches` would fail: a domain-routed filter needs the first party
+/// to equal or be a subdomain of one of its include domains — exactly
+/// the trie's label-suffix walk — and a sitekey-routed filter needs
+/// the request's verified key to be one of its keys.
+#[derive(Debug, Default, Clone)]
+struct ContextIndexBuilder {
+    /// Ids of filters keyed by their `domain=` include list.
+    by_domain: Vec<u32>,
+    /// Ids of filters keyed by their `$sitekey` list.
+    by_sitekey: Vec<u32>,
+}
+
+impl ContextIndexBuilder {
+    /// Route `rf` into the context index if its include list or
+    /// sitekeys pin it to a request context; `false` leaves it to the
+    /// URL index. Include lists route only when every entry has
+    /// non-empty labels: for those the trie walk is exactly
+    /// `is_same_or_subdomain_of`, while malformed entries such as
+    /// `example.com.` (or an empty entry, which never matches but would
+    /// own a trie edge) stay on the URL path, where `matches` alone
+    /// decides them.
+    fn route(&mut self, id: u32, rf: &RequestFilter) -> bool {
+        let include = &rf.options.domains.include;
+        if !include.is_empty()
+            && include
+                .iter()
+                .all(|d| d.split('.').all(|label| !label.is_empty()))
+        {
+            self.by_domain.push(id);
+            true
+        } else if rf.is_sitekey() {
+            self.by_sitekey.push(id);
+            true
+        } else {
+            false
+        }
+    }
+}
+
 /// Output groups of the merged request automaton. Token groups carry a
 /// filter id and fire whole-token (the scan emits exactly the buckets
 /// the per-token index used to visit, in URL-token order — at most one
@@ -304,8 +358,15 @@ struct HidingPlan {
 /// selector-cancellation links.
 #[derive(Debug, Clone, Default)]
 struct Compiled {
-    /// One automaton over every request-filter anchor, both sides.
+    /// One automaton over every URL-indexed request-filter anchor,
+    /// both sides (context-routed filters are not in it).
     request_auto: Automaton,
+    /// Domain-routed request filters (both actions) bucketed by
+    /// lowercased include domain: one walk over the first party
+    /// collects every filter whose include list can pass.
+    ctx_domain: HostLabelTrie,
+    /// Sitekey-routed request filters (both actions) by key.
+    ctx_sitekey: HashMap<String, Vec<u32>>,
     /// Untokenized block/allow filter ids, insertion order. Tail-group
     /// automaton hits are ranks into these lists; merging hit ranks
     /// with the always-scan ranks and sorting restores insertion order.
@@ -446,6 +507,31 @@ impl Compiled {
             &mut allow_tail_req,
         );
 
+        // Context index. Include domains are lowercased at parse time,
+        // but a hand-built filter may carry any case, and the trie
+        // compares labels exactly against the lowercased first party.
+        let mut ctx_domain = HostLabelTrieBuilder::new();
+        for &id in &engine.context.by_domain {
+            let include = &engine.request_filters[id as usize]
+                .filter
+                .options
+                .domains
+                .include;
+            for d in include {
+                if d.bytes().any(|b| b.is_ascii_uppercase()) {
+                    ctx_domain.insert(&d.to_ascii_lowercase(), id);
+                } else {
+                    ctx_domain.insert(d, id);
+                }
+            }
+        }
+        let mut ctx_sitekey: HashMap<String, Vec<u32>> = HashMap::new();
+        for &id in &engine.context.by_sitekey {
+            for key in &engine.request_filters[id as usize].filter.options.sitekeys {
+                ctx_sitekey.entry(key.clone()).or_default().push(id);
+            }
+        }
+
         // $document/$elemhide gates: prefiltered by their own automaton,
         // with values as ranks into the id-ordered gate list (sorted
         // ranks restore evaluation order).
@@ -526,6 +612,8 @@ impl Compiled {
 
         Compiled {
             request_auto: auto.build(),
+            ctx_domain: ctx_domain.build(),
+            ctx_sitekey,
             block_untok: engine.block_builder.untokenized.clone(),
             allow_untok: engine.allow_builder.untokenized.clone(),
             block_always,
@@ -577,6 +665,8 @@ struct MatchScratch {
     /// with the always-scan ranks, then sorted back to insertion order.
     block_tail: Vec<u32>,
     allow_tail: Vec<u32>,
+    /// Context-index candidates (filter ids, either action).
+    context: Vec<u32>,
 }
 
 impl MatchScratch {
@@ -586,6 +676,7 @@ impl MatchScratch {
         self.allow_hits.clear();
         self.block_tail.clear();
         self.allow_tail.clear();
+        self.context.clear();
     }
 }
 
@@ -669,6 +760,7 @@ pub struct Engine {
     element_rules: Vec<StoredElementRule>,
     block_builder: TokenIndexBuilder,
     allow_builder: TokenIndexBuilder,
+    context: ContextIndexBuilder,
     /// Subscription slots assigned so far: each `add_list` call (and
     /// each run of standalone `add_filter` calls) claims the next bit.
     /// Slots past 63 all share bit 63 — see [`Engine::list_bit`].
@@ -693,6 +785,7 @@ impl Clone for Engine {
             element_rules: self.element_rules.clone(),
             block_builder: self.block_builder.clone(),
             allow_builder: self.allow_builder.clone(),
+            context: self.context.clone(),
             next_slot: self.next_slot,
             loose_open: self.loose_open,
             loose_mask: self.loose_mask,
@@ -800,10 +893,12 @@ impl Engine {
         match body {
             FilterBody::Request(rf) => {
                 let id = self.request_filters.len() as u32;
-                let tokens = rf.pattern.tokens();
-                match rf.action {
-                    FilterAction::Block => self.block_builder.insert(id, &tokens),
-                    FilterAction::Allow => self.allow_builder.insert(id, &tokens),
+                if !self.context.route(id, rf) {
+                    let tokens = rf.pattern.tokens();
+                    match rf.action {
+                        FilterAction::Block => self.block_builder.insert(id, &tokens),
+                        FilterAction::Allow => self.allow_builder.insert(id, &tokens),
+                    }
                 }
                 self.request_filters.push(StoredRequestFilter {
                     filter: rf.clone(),
@@ -909,6 +1004,7 @@ impl Engine {
             allow_hits,
             block_tail,
             allow_tail,
+            context,
         } = scratch;
         let mut seen = 0u128;
         compiled
@@ -970,13 +1066,36 @@ impl Engine {
             );
         }
 
+        // Context index: the filters whose include list or sitekey can
+        // pass for this request, routed to their side. `first_party` is
+        // a public field, so it may not be lowercase.
+        if !compiled.ctx_domain.is_empty() {
+            with_host_lower(&req.first_party, |host| {
+                compiled.ctx_domain.collect(host, context)
+            });
+        }
+        if let Some(ids) = req
+            .verified_sitekey
+            .as_deref()
+            .and_then(|key| compiled.ctx_sitekey.get(key))
+        {
+            context.extend_from_slice(ids);
+        }
+        for &id in context.iter() {
+            match self.request_filters[id as usize].filter.action {
+                FilterAction::Block => block_hits.push(id),
+                FilterAction::Allow => allow_hits.push(id),
+            }
+        }
+
         // Canonicalize both candidate streams to ascending filter-id
-        // order: map tail ranks to ids, merge with the whole-token hits,
-        // sort, dedup. Id order is list insertion order, so activations
-        // replay the subscribed lists exactly as written — and a masked
-        // (multi-tenant) evaluation of any subscription subset yields an
-        // ordered subsequence of the full-engine order, which is what
-        // makes one compiled core byte-equivalent to a per-tenant build.
+        // order: map tail ranks to ids, merge with the whole-token and
+        // context hits, sort, dedup. Id order is list insertion order,
+        // so activations replay the subscribed lists exactly as
+        // written — and a masked (multi-tenant) evaluation of any
+        // subscription subset yields an ordered subsequence of the
+        // full-engine order, which is what makes one compiled core
+        // byte-equivalent to a per-tenant build.
         block_hits.extend(block_tail.iter().map(|&r| compiled.block_untok[r as usize]));
         block_hits.sort_unstable();
         block_hits.dedup();
@@ -1086,6 +1205,11 @@ impl Engine {
     /// is exact — and the merged tail must be an ordered subsequence of
     /// the untokenized list (the prefilter may drop entries, never
     /// reorder them).
+    ///
+    /// Context-routed filters never enter the token builders, so the
+    /// buckets compared against are the URL-indexed filters only; the
+    /// guard also checks that no routed id leaks into the URL stream
+    /// (the two indexes partition the request filters).
     #[cfg(debug_assertions)]
     fn debug_assert_candidate_order(
         &self,
@@ -1127,6 +1251,16 @@ impl Engine {
         assert!(
             tail_ranks.iter().all(|&r| (r as usize) < untok.len()),
             "tail rank out of range"
+        );
+        // Routed id lists are built in id order, so already sorted.
+        let routed = |id: u32| {
+            self.context.by_domain.binary_search(&id).is_ok()
+                || self.context.by_sitekey.binary_search(&id).is_ok()
+        };
+        let tail_ids = tail_ranks.iter().map(|&r| untok[r as usize]);
+        assert!(
+            !hits.iter().copied().chain(tail_ids).any(routed),
+            "a context-routed filter reached the URL candidate stream for {url_lower:?}"
         );
     }
 
@@ -1965,6 +2099,71 @@ reddit.com#@##siteTable_organic
         assert_eq!(h.active.len(), 1);
         let refs = e.hiding_refs_for_domain("www.reddit.com");
         assert_eq!(refs.len(), 1);
+    }
+
+    #[test]
+    fn context_index_finds_restricted_and_sitekey_filters() {
+        // Domain- and sitekey-routed filters are found by first party
+        // and verified key, never by URL token; an include entry with an
+        // empty label keeps its filter on the URL path.
+        let wl = FilterList::parse(
+            ListSource::AcceptableAds,
+            "\
+@@||ads.example/unit/$domain=news.example|~sports.news.example
+@@||ads.example/unit/$sitekey=MFwwKEY
+@@$sitekey=MFwwKEY|MFwwOTHER
+@@||ads.example/unit/$domain=blog.example.
+",
+        );
+        let bl = FilterList::parse(ListSource::EasyList, "||ads.example^$domain=news.example\n");
+        let e = Engine::from_lists([&bl, &wl]);
+        let fired = |r: &Request| -> Vec<String> {
+            e.match_request(r)
+                .activations
+                .iter()
+                .map(|a| a.filter.to_string())
+                .collect()
+        };
+        let url = "http://ads.example/unit/x.js";
+
+        let on_news = req(url, "www.news.example", ResourceType::Script);
+        assert_eq!(
+            fired(&on_news),
+            vec![
+                "||ads.example^$domain=news.example",
+                "@@||ads.example/unit/$domain=news.example|~sports.news.example",
+            ]
+        );
+        // `first_party` is public: a mixed-case first party still finds
+        // its filters.
+        let mut mixed = on_news.clone();
+        mixed.first_party = "WWW.News.Example".to_string();
+        assert_eq!(fired(&mixed), fired(&on_news));
+        // The exclude is still checked by the filter itself.
+        let excluded = req(url, "sports.news.example", ResourceType::Script);
+        assert_eq!(fired(&excluded), vec!["||ads.example^$domain=news.example"]);
+        assert!(fired(&req(url, "other.example", ResourceType::Script)).is_empty());
+
+        let keyed = req(url, "parked.example", ResourceType::Script).with_sitekey("MFwwKEY");
+        assert_eq!(
+            fired(&keyed),
+            vec![
+                "@@||ads.example/unit/$sitekey=MFwwKEY",
+                "@@$sitekey=MFwwKEY|MFwwOTHER"
+            ]
+        );
+        let other_key = req(url, "parked.example", ResourceType::Script).with_sitekey("MFwwOTHER");
+        assert_eq!(fired(&other_key), vec!["@@$sitekey=MFwwKEY|MFwwOTHER"]);
+
+        // `blog.example.` has an empty label: the filter stays on the URL
+        // path, and `matches` decides exactly as before.
+        let trailing = req(url, "blog.example", ResourceType::Script);
+        let brute = wl
+            .filters()
+            .chain(bl.filters())
+            .filter(|f| f.as_request().is_some_and(|rf| rf.matches(&trailing)))
+            .count();
+        assert_eq!(fired(&trailing).len(), brute);
     }
 
     // ---- multi-tenant masking ------------------------------------------

@@ -296,6 +296,48 @@ mod differential {
         }
     }
 
+    /// Verified sitekeys: filters name one or both, requests carry
+    /// one or none.
+    const SITEKEYS: [&str; 2] = ["MFwwKEYONE", "MFwwKEYTWO"];
+
+    /// A `domain=` value exercising the context index's routing rules:
+    /// single and multi-domain include lists, includes with excludes
+    /// (including an excluded subdomain of an included domain), and
+    /// include entries with an empty label, which stay on the URL path.
+    fn domain_option(rng: &mut TestRng) -> String {
+        let a = pool_host(rng);
+        match rng.below(6) {
+            0 => format!("domain={a}"),
+            1 => format!("domain=~{a}"),
+            2 => format!("domain={a}|{}|~sub{}.{a}", pool_host(rng), rng.below(3)),
+            3 => format!("domain={a}|~{}", pool_host(rng)),
+            4 => format!("domain={a}|{}.", pool_host(rng)),
+            _ => format!("domain=.{a}"),
+        }
+    }
+
+    fn sitekey_option(rng: &mut TestRng) -> String {
+        match rng.below(3) {
+            0 => format!("sitekey={}", SITEKEYS[0]),
+            1 => format!("sitekey={}", SITEKEYS[1]),
+            _ => format!("sitekey={}|{}", SITEKEYS[0], SITEKEYS[1]),
+        }
+    }
+
+    /// `host` with every other character uppercased.
+    fn mixed_case(host: &str) -> String {
+        host.chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i % 2 == 0 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
     fn pool_path(rng: &mut TestRng) -> String {
         const SEGS: [&str; 6] = ["ads", "banner", "img", "js", "pixel", "x"];
         let mut p = String::new();
@@ -317,7 +359,7 @@ mod differential {
         let path = pool_path(rng);
         let exception = rng.below(3) == 0;
         let prefix = if exception { "@@" } else { "" };
-        let mut line = match rng.below(9) {
+        let mut line = match rng.below(10) {
             0 => format!("{prefix}||{host}^"),
             1 => format!("{prefix}||{host}{path}"),
             2 => format!("{prefix}{path}/"),
@@ -346,17 +388,7 @@ mod differential {
                 // pipes embedded mid-pattern (literal bytes there, not
                 // anchors) and mixed-case literals that only anchor
                 // after case folding.
-                let mixed: String = host
-                    .chars()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        if i % 2 == 0 {
-                            c.to_ascii_uppercase()
-                        } else {
-                            c
-                        }
-                    })
-                    .collect();
+                let mixed = mixed_case(&host);
                 match rng.below(6) {
                     0 => format!("{prefix}*"),
                     1 => format!("{prefix}*^*"),
@@ -366,14 +398,24 @@ mod differential {
                     _ => format!("{prefix}||{mixed}^"),
                 }
             }
+            8 => {
+                // Sitekey filters, with and without a pattern; the
+                // pattern-less form is the parking services' shape.
+                let key = sitekey_option(rng);
+                if rng.below(2) == 0 {
+                    format!("{prefix}${key}")
+                } else {
+                    format!("{prefix}||{host}^${key}")
+                }
+            }
             _ => format!("{prefix}||{host}{path}$script,image"),
         };
         // Sprinkle extra options onto request filters.
-        if rng.below(4) == 0 {
-            let opt = match rng.below(4) {
-                0 => format!("domain={}", pool_host(rng)),
-                1 => format!("domain=~{}", pool_host(rng)),
+        if rng.below(3) == 0 {
+            let opt = match rng.below(5) {
+                0 | 1 => domain_option(rng),
                 2 => "donottrack".to_string(),
+                3 => sitekey_option(rng),
                 _ => "match-case".to_string(),
             };
             line.push(if line.contains('$') { ',' } else { '$' });
@@ -391,16 +433,30 @@ mod differential {
         line
     }
 
+    /// A random request, sometimes carrying a verified sitekey, and
+    /// sometimes hand-edited after construction: `Request`'s fields are
+    /// public, so the engine must cope with a first party that is not
+    /// lowercase, or that is a deeper subdomain of a filter's include
+    /// domain.
     fn random_request(rng: &mut TestRng) -> Request {
         let host = pool_host(rng);
         let path = pool_path(rng);
-        let first = if rng.below(2) == 0 {
-            pool_host(rng)
-        } else {
-            host.clone()
+        let first = match rng.below(3) {
+            0 => pool_host(rng),
+            1 => format!("x{}.{}", rng.below(2), pool_host(rng)),
+            _ => host.clone(),
         };
         let ty = ResourceType::ALL[rng.usize_in(0, ResourceType::ALL.len())];
-        Request::new(&format!("http://{host}{path}"), &first, ty).unwrap()
+        let mut req = Request::new(&format!("http://{host}{path}"), &first, ty).unwrap();
+        if rng.below(4) == 0 {
+            req.first_party = mixed_case(&req.first_party);
+        }
+        match rng.below(4) {
+            0 => req.verified_sitekey = Some(SITEKEYS[0].to_string()),
+            1 => req.verified_sitekey = Some(SITEKEYS[1].to_string()),
+            _ => {}
+        }
+        req
     }
 
     /// Brute-force reference: linearly evaluate every request filter in

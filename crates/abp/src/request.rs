@@ -65,13 +65,14 @@ impl Request {
 }
 
 /// Whether two hosts belong to the same party (shared registrable domain,
-/// falling back to exact host equality for hosts without one).
+/// falling back to exact host equality for hosts without one). Compares
+/// borrowed slices case-insensitively; allocates nothing.
 pub fn same_party(host_a: &str, host_b: &str) -> bool {
     match (
-        urlkit::registrable_domain(host_a),
-        urlkit::registrable_domain(host_b),
+        urlkit::registrable_suffix(host_a),
+        urlkit::registrable_suffix(host_b),
     ) {
-        (Some(a), Some(b)) => a == b,
+        (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
         _ => host_a.eq_ignore_ascii_case(host_b),
     }
 }
@@ -136,5 +137,14 @@ mod tests {
     fn bare_suffix_hosts_compare_exactly() {
         assert!(same_party("com", "com"));
         assert!(!same_party("com", "net"));
+    }
+
+    #[test]
+    fn same_party_ignores_case_and_outer_dots() {
+        assert!(same_party("CDN.Example.COM", "www.example.com"));
+        assert!(same_party("example.com.", "a.example.com"));
+        assert!(same_party("www.google.co.uk", "Maps.Google.Co.Uk"));
+        assert!(!same_party("google.co.uk", "google.com"));
+        assert!(!same_party("co.uk", "google.co.uk"));
     }
 }

@@ -110,6 +110,48 @@ mod tests {
     }
 
     #[test]
+    fn registrable_suffix_agrees_with_registrable_domain_on_every_corpus_host() {
+        let c = Corpus::generate(2015);
+        let mut hosts: Vec<String> = Vec::new();
+        for p in &c.directory.publishers {
+            hosts.extend(p.fqdns.iter().cloned());
+            hosts.push(p.slot.ad_host.clone());
+        }
+        hosts.extend(
+            websim::ecosystem::third_parties()
+                .iter()
+                .map(|p| p.host.to_string()),
+        );
+        for f in c.whitelist.filters().chain(c.easylist.filters()) {
+            let domains = match &f.body {
+                abp::FilterBody::Request(rf) => &rf.options.domains,
+                abp::FilterBody::Element(ef) => &ef.domains,
+            };
+            hosts.extend(domains.include.iter().chain(&domains.exclude).cloned());
+        }
+        hosts.sort();
+        hosts.dedup();
+        assert!(hosts.len() > 3_000, "{} corpus hosts", hosts.len());
+        for host in &hosts {
+            for variant in [host.clone(), host.to_ascii_uppercase(), format!(".{host}.")] {
+                let borrowed = urlkit::registrable_suffix(&variant);
+                assert_eq!(
+                    borrowed.map(str::to_ascii_lowercase),
+                    urlkit::registrable_domain(&variant),
+                    "{variant:?}"
+                );
+                if let Some(s) = borrowed {
+                    let trimmed = variant.trim_matches('.');
+                    assert!(
+                        trimmed == s || trimmed.ends_with(&format!(".{s}")),
+                        "{s:?} is not a label-aligned suffix of {variant:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn different_seeds_differ_in_content_not_shape() {
         let a = Corpus::generate(1);
         let b = Corpus::generate(2);

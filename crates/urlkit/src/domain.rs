@@ -51,24 +51,61 @@ trait EndsWithIgnoreCase {
 
 impl EndsWithIgnoreCase for str {
     fn ends_with_ignore_case(&self, suffix: &str) -> bool {
-        self.len() >= suffix.len() && self[self.len() - suffix.len()..].eq_ignore_ascii_case(suffix)
+        self.len() >= suffix.len()
+            && self.as_bytes()[self.len() - suffix.len()..].eq_ignore_ascii_case(suffix.as_bytes())
     }
 }
 
-/// The number of labels occupied by the public suffix of `host`, or `None`
-/// when the host itself is only a public suffix (or empty).
+/// The number of labels occupied by the public suffix of `host`
+/// (case-insensitive).
 fn public_suffix_labels(host: &str) -> usize {
-    let lower = host.to_ascii_lowercase();
-    for suffix in MULTI_LABEL_SUFFIXES {
-        if lower == *suffix || is_same_or_subdomain_of(&lower, suffix) {
-            return 2;
+    if MULTI_LABEL_SUFFIXES
+        .iter()
+        .any(|suffix| is_same_or_subdomain_of(host, suffix))
+    {
+        2
+    } else {
+        1
+    }
+}
+
+/// The registrable domain of `host` as a slice of `host` itself, in the
+/// host's own case — the allocation-free form of
+/// [`registrable_domain`]. Leading and trailing dots are ignored; a
+/// host with an empty label, or with no label above its public suffix,
+/// has none. Compare results with `eq_ignore_ascii_case`.
+///
+/// ```
+/// use urlkit::registrable_suffix;
+/// assert_eq!(registrable_suffix("Maps.Google.COM"), Some("Google.COM"));
+/// assert_eq!(registrable_suffix(".www.google.co.uk."), Some("google.co.uk"));
+/// assert_eq!(registrable_suffix("co.uk"), None);
+/// assert_eq!(registrable_suffix("a..com"), None);
+/// ```
+pub fn registrable_suffix(host: &str) -> Option<&str> {
+    let host = host.trim_matches('.');
+    if host.is_empty() || host.contains("..") {
+        return None;
+    }
+    // Keep the public suffix plus one label: everything after the
+    // `keep`-th dot from the right, or the whole host when it has
+    // exactly `keep` labels.
+    let keep = public_suffix_labels(host) + 1;
+    let mut dots = 0;
+    for (i, b) in host.bytes().enumerate().rev() {
+        if b == b'.' {
+            dots += 1;
+            if dots == keep {
+                return Some(&host[i + 1..]);
+            }
         }
     }
-    1
+    (dots + 1 == keep).then_some(host)
 }
 
 /// Returns the registrable domain of `host` — the public suffix plus one
-/// label — or `None` when the host has no label above its public suffix.
+/// label — lowercased, or `None` when the host has no label above its
+/// public suffix. See [`registrable_suffix`] for the borrowed form.
 ///
 /// ```
 /// use urlkit::registrable_domain;
@@ -77,20 +114,7 @@ fn public_suffix_labels(host: &str) -> usize {
 /// assert_eq!(registrable_domain("com"), None);
 /// ```
 pub fn registrable_domain(host: &str) -> Option<String> {
-    let host = host.trim_matches('.');
-    if host.is_empty() {
-        return None;
-    }
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.iter().any(|l| l.is_empty()) {
-        return None;
-    }
-    let suffix_labels = public_suffix_labels(host);
-    if labels.len() <= suffix_labels {
-        return None;
-    }
-    let keep = suffix_labels + 1;
-    Some(labels[labels.len() - keep..].join(".").to_ascii_lowercase())
+    registrable_suffix(host).map(str::to_ascii_lowercase)
 }
 
 /// Alias matching the paper's terminology: the *effective second-level
@@ -100,7 +124,7 @@ pub fn effective_second_level_domain(host: &str) -> Option<String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -189,6 +213,94 @@ mod tests {
     #[test]
     fn e2ld_rejects_empty_labels() {
         assert_eq!(registrable_domain("a..com"), None);
+    }
+
+    /// The label-vector implementation `registrable_domain` had before
+    /// [`registrable_suffix`] existed, kept as the reference the
+    /// borrowed helper must agree with.
+    fn label_vector_reference(host: &str) -> Option<String> {
+        let host = host.trim_matches('.');
+        if host.is_empty() {
+            return None;
+        }
+        let labels: Vec<&str> = host.split('.').collect();
+        if labels.iter().any(|l| l.is_empty()) {
+            return None;
+        }
+        let lower = host.to_ascii_lowercase();
+        let suffix_labels = if MULTI_LABEL_SUFFIXES
+            .iter()
+            .any(|s| lower == *s || lower.ends_with(&format!(".{s}")))
+        {
+            2
+        } else {
+            1
+        };
+        if labels.len() <= suffix_labels {
+            return None;
+        }
+        let keep = suffix_labels + 1;
+        Some(labels[labels.len() - keep..].join(".").to_ascii_lowercase())
+    }
+
+    /// Asserts the borrowed helper and both owned forms agree on `host`,
+    /// and that the helper's result is a label-aligned slice of `host`.
+    pub(crate) fn assert_suffix_agrees(host: &str) {
+        let borrowed = registrable_suffix(host);
+        let want = label_vector_reference(host);
+        assert_eq!(
+            borrowed.map(str::to_ascii_lowercase),
+            want,
+            "registrable_suffix vs reference on {host:?}"
+        );
+        assert_eq!(
+            registrable_domain(host),
+            want,
+            "registrable_domain on {host:?}"
+        );
+        if let Some(s) = borrowed {
+            let trimmed = host.trim_matches('.');
+            assert!(
+                trimmed.len() == s.len()
+                    || (trimmed.ends_with(s) && trimmed[..trimmed.len() - s.len()].ends_with('.')),
+                "{s:?} is not a label-aligned suffix of {host:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn registrable_suffix_agrees_on_edge_cases() {
+        for host in [
+            "com",
+            "co.uk",
+            "CO.UK",
+            "google.co.uk",
+            "www.google.co.uk",
+            "maps.google.com",
+            "Maps.Google.COM",
+            "WWW.Google.Co.Uk",
+            "example.com.",
+            ".example.com",
+            "..example.com..",
+            ".com",
+            "com.",
+            ".",
+            "..",
+            "",
+            "a..com",
+            "reddit.cm",
+            "www.reddit.cm",
+            "kayak.com.au",
+            "com.au",
+            "x.notco.uk",
+            "localhost",
+        ] {
+            assert_suffix_agrees(host);
+        }
+        assert_eq!(registrable_suffix("Maps.Google.COM"), Some("Google.COM"));
+        assert_eq!(registrable_suffix("example.com."), Some("example.com"));
+        assert_eq!(registrable_suffix("com"), None);
+        assert_eq!(registrable_suffix("co.uk"), None);
     }
 
     #[test]

@@ -48,6 +48,22 @@ proptest! {
         }
     }
 
+    /// The borrowed registrable suffix agrees with the label-vector
+    /// reference on hosts with mixed case, multi-label public suffixes,
+    /// and stray leading, trailing or doubled dots.
+    #[test]
+    fn registrable_suffix_matches_reference(
+        labels in proptest::collection::vec(
+            prop::sample::select(&["", "a", "Ab", "www", "co", "Co", "uk", "UK", "com", "au", "cm"][..]),
+            0..5,
+        ),
+        lead in "[.]{0,2}",
+        trail in "[.]{0,2}",
+    ) {
+        let host = format!("{lead}{}{trail}", labels.join("."));
+        crate::domain::tests::assert_suffix_agrees(&host);
+    }
+
     /// The parser never panics on arbitrary input.
     #[test]
     fn parser_never_panics(input in ".{0,200}") {

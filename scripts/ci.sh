@@ -11,6 +11,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -q -p abp"
+# The debug run above exercises the engine's prefilter-soundness and
+# candidate-order assertions; this one tests the optimized code that
+# abpd actually serves.
+cargo test --release -q -p abp
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
